@@ -16,17 +16,18 @@
 #   make bench   - regenerate the paper's evaluation via the benchmark
 #                  harness (slow; minutes).
 #   make race    - just the race-sensitive packages, under -race.
-#   make perfbench - regenerate BENCH_9.json, the tracked hot-path
+#   make perfbench - regenerate BENCH_10.json, the tracked hot-path
 #                  microbenchmark baseline (cmd/zrbench): the
 #                  scalar-vs-batched datapath pairs, the arena/CoW storage
 #                  and charged-bitmap scan primitives, transform kernels,
 #                  event-queue primitives, dense-vs-event window drivers,
-#                  the introspection plane's trace tee and the trace-diff
-#                  lockstep loop.
-#   make perfdiff - gate BENCH_9.json against the previous committed
-#                  baseline generation (BENCH_8.json): fail if any shared
+#                  the whole-page content fill, the introspection plane's
+#                  trace tee, the trace-diff lockstep loop and the content
+#                  generator (per-line LineAt, forward cursor).
+#   make perfdiff - gate BENCH_10.json against the previous committed
+#                  baseline generation (BENCH_9.json): fail if any shared
 #                  benchmark regressed more than 10%.
-#   make allocgate - fail if any steady-state benchmark in BENCH_9.json
+#   make allocgate - fail if any steady-state benchmark in BENCH_10.json
 #                  reports a nonzero allocs/op (the whole-window drivers
 #                  are exempt; everything else must be allocation-free).
 
@@ -56,10 +57,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 perfbench:
-	$(GO) run ./cmd/zrbench -out BENCH_9.json -benchtime 300ms -count 3
+	$(GO) run ./cmd/zrbench -out BENCH_10.json -benchtime 300ms -count 3
 
 perfdiff:
-	$(GO) run ./cmd/zrbench -diff BENCH_8.json,BENCH_9.json -tolerance 0.10
+	$(GO) run ./cmd/zrbench -diff BENCH_9.json,BENCH_10.json -tolerance 0.10
 
 allocgate:
-	$(GO) run ./cmd/zrbench -allocgate BENCH_9.json
+	$(GO) run ./cmd/zrbench -allocgate BENCH_10.json

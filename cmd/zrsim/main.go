@@ -76,6 +76,9 @@ func main() {
 		Windows:  *windows,
 		Seed:     *seed,
 	}
+	if err := o.Validate(); err != nil {
+		fail(err)
+	}
 	switch *engineID {
 	case "dense":
 	case "events":

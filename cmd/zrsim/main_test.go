@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -75,5 +77,40 @@ func TestWriteTimelineAndTraceExporters(t *testing.T) {
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	if err := run("fig99", quickOpts()); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestMain lets a test re-run this binary as the zrsim command: with
+// ZRSIM_RUN_MAIN set, the process runs main with the arguments that follow
+// "--" instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("ZRSIM_RUN_MAIN") == "1" {
+		for i, a := range os.Args {
+			if a == "--" {
+				os.Args = append([]string{"zrsim"}, os.Args[i+1:]...)
+				break
+			}
+		}
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func TestNegativeScaleFlagsExitNonZero(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig14", "-windows", "-1"},
+		{"-exp", "table1", "-capacity", "-8"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
+		cmd.Env = append(os.Environ(), "ZRSIM_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("zrsim %v: err = %v, want a non-zero exit\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "negative") {
+			t.Fatalf("zrsim %v: output does not name the bad value:\n%s", args, out)
+		}
 	}
 }

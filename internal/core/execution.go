@@ -25,9 +25,11 @@ type ExecutionDriver struct {
 
 	// cacheVersion is the version of a line as the core sees it
 	// (bumped by stores); dramVersion is the version last written back
-	// to memory. Lines absent from both maps are at version 0.
-	cacheVersion map[uint64]uint64
-	dramVersion  map[uint64]uint64
+	// to memory. Both are indexed by the line's slot in the working set
+	// (see slot); every line starts at version 0.
+	baseLine     uint64
+	cacheVersion []uint64
+	dramVersion  []uint64
 
 	accesses   int64
 	fills      int64
@@ -45,18 +47,27 @@ func NewExecutionDriver(sys *System, prof workload.Profile, seed uint64, base ui
 	if end > uint64(len(sys.Ranks))*uint64(sys.DRAM.Config().Capacity()) {
 		return nil, fmt.Errorf("core: working set [%#x,%#x) beyond capacity", base, end)
 	}
+	wsLines := max(1, (uint64(prof.WorkingSetBytes)+dram.LineBytes-1)/dram.LineBytes)
 	d := &ExecutionDriver{
 		sys:          sys,
 		prof:         prof,
 		gen:          workload.NewAccessGen(prof, seed, base),
 		hier:         cache.NewHierarchy(),
 		seed:         seed,
-		cacheVersion: make(map[uint64]uint64),
-		dramVersion:  make(map[uint64]uint64),
+		baseLine:     base / dram.LineBytes,
+		cacheVersion: make([]uint64, wsLines),
+		dramVersion:  make([]uint64, wsLines),
 	}
 	d.hier.OnWriteback = d.writeback
 	d.hier.OnFill = d.fill
 	return d, nil
+}
+
+// slot maps a line address in the working set to its version-table index.
+// The access stream never leaves [base, base+WorkingSetBytes), so the
+// tables are dense: one word per working-set line.
+func (d *ExecutionDriver) slot(addr uint64) uint64 {
+	return addr/dram.LineBytes - d.baseLine
 }
 
 // content generates the line image at a given version.
@@ -65,11 +76,11 @@ func (d *ExecutionDriver) content(addr uint64, version uint64) [64]byte {
 }
 
 func (d *ExecutionDriver) writeback(addr uint64) {
-	v := d.cacheVersion[addr/dram.LineBytes]
+	v := d.cacheVersion[d.slot(addr)]
 	if err := d.sys.WriteLineAt(addr, d.content(addr, v)); err != nil && d.verifyErr == nil {
 		d.verifyErr = err
 	}
-	d.dramVersion[addr/dram.LineBytes] = v
+	d.dramVersion[d.slot(addr)] = v
 	d.writebacks++
 }
 
@@ -82,7 +93,7 @@ func (d *ExecutionDriver) fill(addr uint64) {
 		return
 	}
 	d.fills++
-	line := addr / dram.LineBytes
+	line := d.slot(addr)
 	want := d.content(addr, d.dramVersion[line])
 	if d.dramVersion[line] == 0 {
 		// Never written back: memory holds either the pre-filled
@@ -116,7 +127,7 @@ func (d *ExecutionDriver) Run(n int) error {
 		// current memory content first, then the store mutates it.
 		d.hier.Access(a.Addr, a.Write)
 		if a.Write {
-			d.cacheVersion[a.Addr/dram.LineBytes]++
+			d.cacheVersion[d.slot(a.Addr)]++
 		}
 		d.accesses++
 		if d.verifyErr != nil {

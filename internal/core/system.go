@@ -335,12 +335,13 @@ func (s *System) WritePage(page int, content func(line int) [64]byte) error {
 // location. version selects a value generation: refilling with a higher
 // version models stores that update values without changing the resident
 // data structures.
+//
+// The page's lines stream from one workload.Cursor on the stack, so a fill
+// allocates nothing and generates each line in O(1).
 func (s *System) FillPageFromProfile(prof workload.Profile, page int, contentSeed, version uint64) error {
 	lines := uint64(s.DRAM.Config().RowBytes / dram.LineBytes)
-	base := uint64(page) * lines
-	return s.WritePage(page, func(ln int) [64]byte {
-		return prof.LineAt(contentSeed, base+uint64(ln), version)
-	})
+	cur := prof.Cursor(contentSeed, uint64(page)*lines, version)
+	return s.WritePage(page, func(int) [64]byte { return cur.Next() })
 }
 
 // CleansePage zero-fills a page through the datapath, as the OS's
@@ -436,14 +437,13 @@ func (s *System) ReadPageLine(page, line int) ([64]byte, error) {
 // version it was filled from; used by integrity tests and the examples.
 func (s *System) VerifyPage(prof workload.Profile, page int, contentSeed, version uint64) error {
 	lines := s.DRAM.Config().RowBytes / dram.LineBytes
-	base := uint64(page) * uint64(lines)
+	cur := prof.Cursor(contentSeed, uint64(page)*uint64(lines), version)
 	for ln := 0; ln < lines; ln++ {
 		got, err := s.ReadPageLine(page, ln)
 		if err != nil {
 			return err
 		}
-		want := prof.LineAt(contentSeed, base+uint64(ln), version)
-		if got != want {
+		if got != cur.Next() {
 			return fmt.Errorf("core: page %d line %d corrupted", page, ln)
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"zerorefresh/internal/core"
 	"zerorefresh/internal/cpu"
 	"zerorefresh/internal/dram"
@@ -70,6 +72,9 @@ func RunIPC(o Options, prof workload.Profile) (IPCResult, error) {
 			return res, err
 		}
 		sys.RunWindow()
+	}
+	if d := sys.DecayEvents(); d != 0 {
+		return res, fmt.Errorf("sim: %d retention failures under %s", d, prof.Name)
 	}
 
 	// Convert the recorded per-set refreshed counts into per-AR busy

@@ -90,6 +90,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate rejects option values no run can honour. Zero fields mean "use
+// the default" (see withDefaults); negative scale fields are errors rather
+// than silently empty runs.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Capacity", o.Capacity},
+		{"RowBytes", int64(o.RowBytes)},
+		{"Windows", int64(o.Windows)},
+		{"Warmup", int64(o.Warmup)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sim: negative %s %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // coreConfig builds the system configuration for a run.
 func (o Options) coreConfig(extended bool) core.Config {
 	cfg := core.DefaultConfig(o.Capacity)
@@ -135,9 +155,13 @@ type Observer struct {
 	OnSystem func(sys *core.System)
 }
 
-// newSystem builds a system for this run and applies the observer's
-// OnSystem hook. All sim runners build their systems through it.
+// newSystem validates the options, builds a system for this run and
+// applies the observer's OnSystem hook. All sim runners build their
+// systems through it.
 func (o Options) newSystem(extended bool) (*core.System, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	sys, err := core.NewSystem(o.coreConfig(extended))
 	if err != nil {
 		return nil, err

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"zerorefresh/internal/core"
+	"zerorefresh/internal/dram"
 	"zerorefresh/internal/workload"
 )
 
@@ -394,5 +396,49 @@ func TestPowerBreakdownShape(t *testing.T) {
 	// energy argument).
 	if hi.Values[4] > hiSave/5 {
 		t.Fatalf("overhead %.3fW not small vs savings %.3fW", hi.Values[4], hiSave)
+	}
+}
+
+func TestOptionsRejectNegativeScale(t *testing.T) {
+	p := profiles("sphinx3")[0]
+	for name, mutate := range map[string]func(*Options){
+		"Capacity": func(o *Options) { o.Capacity = -1 },
+		"RowBytes": func(o *Options) { o.RowBytes = -4096 },
+		"Windows":  func(o *Options) { o.Windows = -1 },
+		"Warmup":   func(o *Options) { o.Warmup = -2 },
+	} {
+		o := quickOptions()
+		mutate(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: Validate = %v, want an error naming it", name, err)
+		}
+		if _, err := RunScenario(o, p, 1.0); err == nil {
+			t.Errorf("negative %s: RunScenario ran", name)
+		}
+		if _, err := RunIPC(o, p); err == nil {
+			t.Errorf("negative %s: RunIPC ran", name)
+		}
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Fatalf("zero options (all defaults) rejected: %v", err)
+	}
+}
+
+func TestRunIPCReportsRetentionFailures(t *testing.T) {
+	// Inject a broken refresh: after the learning window, jump the clock
+	// two retention windows ahead without refreshing, so every charged row
+	// misses its deadline during the content phase. RunIPC must surface
+	// the decay instead of timing a memory that lost data.
+	o := Options{Capacity: 4 << 20, Seed: 1}
+	o.Observer = &Observer{OnSystem: func(sys *core.System) {
+		sys.SetWatch(func(window int64, _ dram.Time) {
+			if window == 1 {
+				sys.Clock += 2 * sys.DRAM.Config().Timing.TRET
+			}
+		})
+	}}
+	_, err := RunIPC(o, profiles("omnetpp")[0])
+	if err == nil || !strings.Contains(err.Error(), "retention failures") {
+		t.Fatalf("RunIPC with withheld refresh: err = %v, want a retention-failure error", err)
 	}
 }

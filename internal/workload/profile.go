@@ -258,41 +258,18 @@ const (
 	// diagonal block (32 KB at 4 KB rows), so this length controls how
 	// often blocks straddle structure boundaries.
 	segmentBoundaryProb = 0.012
-	// forcedBoundaryInterval guarantees a boundary every N chunks so
-	// segment lookup is O(N) worst case.
+	// forcedBoundaryInterval guarantees a boundary every N chunks, so
+	// locating the segment of an arbitrary chunk walks back at most N-1
+	// chunks.
 	forcedBoundaryInterval = 256
 )
-
-func (p Profile) isBoundary(seed, chunk uint64) bool {
-	if chunk%forcedBoundaryInterval == 0 {
-		return true
-	}
-	return NewSplitMix(Hash(seed, HashString(p.Name), chunk, 0xb0)).Float64() < segmentBoundaryProb
-}
-
-// segmentStart returns the first chunk of the segment containing chunk.
-func (p Profile) segmentStart(seed, chunk uint64) uint64 {
-	for j := chunk; ; j-- {
-		if p.isBoundary(seed, j) {
-			return j
-		}
-	}
-}
 
 // ClassOfChunk deterministically assigns a class to the 1 KB chunk with
 // global index chunk (byte address / ChunkBytes), drawn from the profile
 // mix once per segment.
 func (p Profile) ClassOfChunk(seed, chunk uint64) PageClass {
-	seg := p.segmentStart(seed, chunk)
-	u := NewSplitMix(Hash(seed, HashString(p.Name), seg, 0xc1)).Float64()
-	acc := 0.0
-	for _, c := range classOrder {
-		acc += p.Mix[c]
-		if u < acc {
-			return c
-		}
-	}
-	return PageRandom
+	s := p.segmentsAt(seed, chunk)
+	return s.class
 }
 
 // ClassOfPage returns the class of the first chunk of a 4 KB page; most
@@ -306,10 +283,8 @@ func (p Profile) ClassOfPage(seed uint64, pageIdx uint64) PageClass {
 // value generation; rewriting a line with a new version models a store
 // that changes values while preserving the data structure's class.
 func (p Profile) LineAt(seed, globalLine, version uint64) [64]byte {
-	chunk := globalLine / ChunkLines
-	class := p.ClassOfChunk(seed, chunk)
-	rng := NewSplitMix(Hash(seed, HashString(p.Name), globalLine+1, version))
-	return class.Line(rng).Bytes()
+	c := p.Cursor(seed, globalLine, version)
+	return c.Next()
 }
 
 // LineContent generates cacheline slot lineIdx (0..63) of a 4 KB page.
@@ -331,14 +306,15 @@ func (p Profile) SkipUnitFraction(seed uint64, unitBytes, samples int) float64 {
 	if chunksPerUnit < 1 {
 		chunksPerUnit = 1
 	}
+	s := p.segmentsAt(seed, 0)
 	total := 0
 	for r := 0; r < samples; r++ {
 		mink := 8
 		for c := 0; c < chunksPerUnit; c++ {
-			k := p.ClassOfChunk(seed, uint64(r*chunksPerUnit+c)).SkippableClasses()
-			if k < mink {
+			if k := s.class.SkippableClasses(); k < mink {
 				mink = k
 			}
+			s.next()
 		}
 		total += mink
 	}

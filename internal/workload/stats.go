@@ -62,11 +62,12 @@ func (p Profile) MeasureContent(seed uint64, pages int) ContentStats {
 	st.Pages = pages
 	const pageBytes = 4096
 	linesPerPage := pageBytes / dram.LineBytes
+	cur := p.Cursor(seed, 0, 0)
 	for pg := 0; pg < pages; pg++ {
 		blockZero := true
 		blockLines := 0
 		for ln := 0; ln < linesPerPage; ln++ {
-			content := p.LineContent(seed, uint64(pg), ln)
+			content := cur.Next()
 			for _, b := range content {
 				if b == 0 {
 					st.ZeroBytes++
