@@ -16,20 +16,23 @@
 #   make bench   - regenerate the paper's evaluation via the benchmark
 #                  harness (slow; minutes).
 #   make race    - just the race-sensitive packages, under -race.
-#   make perfbench - regenerate BENCH_10.json, the tracked hot-path
+#   make perfbench - regenerate BENCH_11.json, the tracked hot-path
 #                  microbenchmark baseline (cmd/zrbench): the
 #                  scalar-vs-batched datapath pairs, the arena/CoW storage
 #                  and charged-bitmap scan primitives, transform kernels,
 #                  event-queue primitives, dense-vs-event window drivers,
 #                  the whole-page content fill, the introspection plane's
-#                  trace tee, the trace-diff lockstep loop and the content
-#                  generator (per-line LineAt, forward cursor).
-#   make perfdiff - gate BENCH_10.json against the previous committed
-#                  baseline generation (BENCH_9.json): fail if any shared
+#                  trace tee, the trace-diff lockstep loop, the content
+#                  generator (per-line LineAt, random-access Image,
+#                  forward cursor), the L1/L2 hierarchy access and the
+#                  Figure 17 closed-loop timing kernel.
+#   make perfdiff - gate BENCH_11.json against the previous committed
+#                  baseline generation (BENCH_10.json): fail if any shared
 #                  benchmark regressed more than 10%.
-#   make allocgate - fail if any steady-state benchmark in BENCH_10.json
+#   make allocgate - fail if any steady-state benchmark in BENCH_11.json
 #                  reports a nonzero allocs/op (the whole-window drivers
-#                  are exempt; everything else must be allocation-free).
+#                  and the whole closed-loop run are exempt; everything
+#                  else must be allocation-free).
 
 GO ?= go
 
@@ -57,10 +60,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 perfbench:
-	$(GO) run ./cmd/zrbench -out BENCH_10.json -benchtime 300ms -count 3
+	$(GO) run ./cmd/zrbench -out BENCH_11.json -benchtime 300ms -count 3
 
 perfdiff:
-	$(GO) run ./cmd/zrbench -diff BENCH_9.json,BENCH_10.json -tolerance 0.10
+	$(GO) run ./cmd/zrbench -diff BENCH_10.json,BENCH_11.json -tolerance 0.10
 
 allocgate:
-	$(GO) run ./cmd/zrbench -allocgate BENCH_10.json
+	$(GO) run ./cmd/zrbench -allocgate BENCH_11.json

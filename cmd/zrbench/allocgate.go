@@ -19,13 +19,15 @@ import (
 //
 // The benchmark set is pinned in the binary rather than configured: a gate
 // that a PR can re-scope in the same commit that regresses it gates nothing.
-// Only the whole-window experiment drivers (internal/core BenchmarkWindows*)
-// are exempt — each op there builds a full experiment (modules, engines,
-// tracers), so per-window allocation is by design.
+// Only whole-experiment benchmarks are exempt, because each op there builds
+// per-run state by design: the whole-window drivers (internal/core
+// BenchmarkWindows*) build modules, engines and tracers, and one Figure 17
+// closed-loop run (internal/memctrl BenchmarkSimulateClosedLoop) builds its
+// refresh windows, bank tables and slot heap.
 
 // allocExempt matches the benchmark keys (package.Name) whose operations
 // legitimately allocate. Everything else in the baseline must be zero.
-var allocExempt = regexp.MustCompile(`^internal/core\.BenchmarkWindows(Dense|Event)/`)
+var allocExempt = regexp.MustCompile(`^internal/core\.BenchmarkWindows(Dense|Event)/|^internal/memctrl\.BenchmarkSimulateClosedLoop$`)
 
 // runAllocGate implements the -allocgate mode: load a baseline and fail if
 // any non-exempt benchmark reports a nonzero allocs/op.

@@ -52,3 +52,22 @@ func TestRunAllocGateRejectsBadFile(t *testing.T) {
 		t.Fatal("missing baseline accepted")
 	}
 }
+
+func TestRunAllocGateExemptsOnlyWholeRuns(t *testing.T) {
+	// A whole closed-loop run builds per-run state and is exempt; the
+	// per-access hierarchy and per-line image paths are audited.
+	dir := t.TempDir()
+	path := writeReport(t, dir, "mixed.json", rep(
+		result{Name: "BenchmarkSimulateClosedLoop", Package: "internal/memctrl", NsPerOp: 2e7, BytesPerOp: 173000, AllocsPerOp: 90},
+		result{Name: "BenchmarkHierarchyAccess", Package: "internal/cache", NsPerOp: 130, BytesPerOp: 16, AllocsPerOp: 1},
+		result{Name: "BenchmarkImageLineAt", Package: "internal/workload", NsPerOp: 50},
+	))
+	var out strings.Builder
+	if err := runAllocGate(path, &out); err == nil {
+		t.Fatalf("allocating hierarchy access not fatal:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "2 steady-state benchmark(s) checked, 1 violation(s)") ||
+		!strings.Contains(out.String(), "ALLOCS: internal/cache.BenchmarkHierarchyAccess") {
+		t.Fatalf("unexpected report:\n%s", out.String())
+	}
+}

@@ -1,10 +1,12 @@
 // Command zrbench runs the simulator's hot-path microbenchmarks and emits a
-// machine-readable performance baseline. The committed BENCH_10.json at the
+// machine-readable performance baseline. The committed BENCH_11.json at the
 // repository root is its output: regenerate with `make perfbench` after any
 // datapath or scheduler change. The suite covers the line-granular
 // scalar/batched pairs, the arena/CoW storage primitives, the event-queue
-// primitives, the dense-vs-event window drivers at several idle ratios, and
-// the workload content generator (per-line, cursor and whole-page fill).
+// primitives, the dense-vs-event window drivers at several idle ratios, the
+// workload content generator (per-line, random-access image, cursor and
+// whole-page fill), the L1/L2 cache hierarchy and the closed-loop timing
+// kernel.
 //
 // The report schema is deterministic — a fixed benchmark set, names sorted,
 // GOMAXPROCS suffixes stripped — so two runs differ only in the measured
@@ -15,7 +17,7 @@
 // The -diff mode compares two baselines and fails on regressions, which is
 // how CI gates a PR against the previous baseline generation:
 //
-//	zrbench -diff BENCH_9.json,BENCH_10.json -tolerance 0.10
+//	zrbench -diff BENCH_10.json,BENCH_11.json -tolerance 0.10
 //
 // Only benchmarks present in both files are compared (a new generation may
 // add suites); a shared benchmark more than tolerance slower fails.
@@ -28,9 +30,9 @@
 //
 // Usage:
 //
-//	zrbench [-out BENCH_10.json] [-benchtime 100ms] [-count 1]
+//	zrbench [-out BENCH_11.json] [-benchtime 100ms] [-count 1]
 //	zrbench -diff OLD.json,NEW.json [-tolerance 0.10]
-//	zrbench -allocgate BENCH_10.json
+//	zrbench -allocgate BENCH_11.json
 package main
 
 import (
@@ -56,18 +58,20 @@ type suite struct {
 // bitmap-scan primitives in the rank model, the transform kernels, the
 // event-queue primitive, the dense-vs-event window drivers and the
 // whole-page content fill, the introspection plane's trace tee, the
-// trace-diff lockstep loop, and the content generator's per-line and
-// cursor paths.
+// trace-diff lockstep loop, the content generator's per-line, image and
+// cursor paths, the cache hierarchy's access path and the Figure 17
+// closed-loop timing kernel.
 var suites = []suite{
 	{"./internal/dram", "BenchmarkFillRowWords|BenchmarkRefreshGroup|BenchmarkReplayRefreshGroup|BenchmarkNextRetentionDeadline"},
-	{"./internal/memctrl", "BenchmarkWriteLine|BenchmarkReadLine|BenchmarkWriteZeroRow"},
+	{"./internal/memctrl", "BenchmarkWriteLine|BenchmarkReadLine|BenchmarkWriteZeroRow|BenchmarkSimulateClosedLoop"},
 	{"./internal/refresh", "BenchmarkAutoRefreshSet"},
 	{"./internal/transform", "BenchmarkBitPlaneInverse|BenchmarkPipelineEncodeDecode"},
 	{"./internal/engine", "BenchmarkEventQueuePushPop"},
 	{"./internal/core", "BenchmarkWindowsDense|BenchmarkWindowsEvent|BenchmarkFillPageFromProfile"},
 	{"./internal/obs", "BenchmarkFlightRecorderEmit"},
 	{"./internal/attr", "BenchmarkDiffLockstep"},
-	{"./internal/workload", "BenchmarkLineAt|BenchmarkContentCursor"},
+	{"./internal/workload", "BenchmarkLineAt|BenchmarkImageLineAt|BenchmarkContentCursor"},
+	{"./internal/cache", "BenchmarkHierarchyAccess"},
 }
 
 // result is one benchmark measurement.
@@ -79,7 +83,7 @@ type result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// report is the BENCH_10.json document.
+// report is the BENCH_11.json document.
 type report struct {
 	Schema     string   `json:"schema"`
 	BenchTime  string   `json:"benchtime"`
@@ -190,7 +194,7 @@ func run(out, benchtime string, count int) error {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output file, or - for stdout")
+	out := flag.String("out", "BENCH_11.json", "output file, or - for stdout")
 	benchtime := flag.String("benchtime", "100ms", "per-benchmark measurement time (go test -benchtime)")
 	count := flag.Int("count", 1, "benchmark repetitions (go test -count)")
 	diffFiles := flag.String("diff", "", "compare two baselines (OLD.json,NEW.json) instead of benchmarking; exits 1 on regressions")

@@ -46,21 +46,26 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set use counter; larger is more recent.
-	lru uint64
-}
-
-// Cache is one set-associative write-back level.
+// Cache is one set-associative write-back level. The ways are stored as
+// parallel arrays, set-major (way w of set s at index s*ways+w), so a
+// lookup scans only the set's tags: 256 B per 32-way set.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	setMask uint64
-	useCtr  uint64
-	stats   Stats
+	ways int
+	// tags holds tag+1 per way; 0 marks an invalid way.
+	tags []uint64
+	// lru is a per-way use stamp; larger is more recent.
+	lru      []uint64
+	dirty    []bool
+	setMask  uint64
+	setShift uint
+	useCtr   uint64
+	stats    Stats
+	// mruBlk and mruWay remember the line the last access left in the
+	// cache. Core streams touch a line several times in a row, and a
+	// repeat finds it without scanning the set; the tag check keeps
+	// the shortcut exact after the way is evicted or invalidated.
+	mruBlk uint64
+	mruWay int
 }
 
 // New builds a cache level. Sizes must yield a power-of-two number of sets.
@@ -76,24 +81,37 @@ func New(cfg Config) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two", nsets))
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(nsets - 1)}
-	c.sets = make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
+	return &Cache{
+		ways:     cfg.Ways,
+		tags:     make([]uint64, lines),
+		lru:      make([]uint64, lines),
+		dirty:    make([]bool, lines),
+		setMask:  uint64(nsets - 1),
+		setShift: uint(bits.TrailingZeros64(uint64(nsets))),
 	}
-	return c
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask + 1) }
 
 func (c *Cache) index(addr uint64) (set, tag uint64) {
 	blk := addr / dram.LineBytes
-	return blk & c.setMask, blk >> uint(bits.TrailingZeros64(c.setMask+1))
+	return blk & c.setMask, blk >> c.setShift
+}
+
+// find returns the index of the way holding tag in set, or -1.
+func (c *Cache) find(set, tag uint64) int {
+	base := int(set) * c.ways
+	key := tag + 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Eviction describes a line pushed out of the cache.
@@ -103,70 +121,76 @@ type Eviction struct {
 }
 
 // Access looks up addr, allocating on miss. It returns whether the access
-// hit and, for misses that displaced a valid line, the eviction.
-func (c *Cache) Access(addr uint64, write bool) (hit bool, ev *Eviction) {
+// hit and, when a miss displaced a valid line, the eviction with evicted
+// set.
+//
+//zr:hotpath
+func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction, evicted bool) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
 	c.stats.Accesses++
 	c.useCtr++
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.useCtr
-			if write {
-				ways[i].dirty = true
-			}
-			c.stats.Hits++
-			return true, nil
+	blk := addr / dram.LineBytes
+	w := c.mruWay
+	if blk != c.mruBlk || c.tags[w] != tag+1 {
+		w = c.find(set, tag)
+	}
+	if w >= 0 {
+		c.mruBlk, c.mruWay = blk, w
+		c.lru[w] = c.useCtr
+		if write {
+			c.dirty[w] = true
 		}
+		c.stats.Hits++
+		return true, Eviction{}, false
 	}
 	c.stats.Misses++
-	// Choose a victim: an invalid way, else the LRU way.
+	// Choose a victim: the first invalid way, else the first way with
+	// the lowest use stamp.
+	base := int(set) * c.ways
+	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
 	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
+	for i, t := range tags {
+		if t == 0 {
 			victim = i
 			break
 		}
-		if ways[i].lru < ways[victim].lru {
+		if lru[i] < lru[victim] {
 			victim = i
 		}
 	}
-	if ways[victim].valid {
+	v := base + victim
+	c.mruBlk, c.mruWay = blk, v
+	if tags[victim] != 0 {
 		c.stats.Evictions++
-		ev = &Eviction{Addr: c.evictAddr(set, ways[victim].tag), Dirty: ways[victim].dirty}
+		ev = Eviction{Addr: c.evictAddr(set, tags[victim]-1), Dirty: c.dirty[v]}
+		evicted = true
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.useCtr}
-	return false, ev
+	tags[victim] = tag + 1
+	lru[victim] = c.useCtr
+	c.dirty[v] = write
+	return false, ev, evicted
 }
 
 // Contains reports whether addr is present (without touching LRU state).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.index(addr)) >= 0
 }
 
 // Invalidate drops addr if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			d := ways[i].dirty
-			ways[i] = line{}
-			return true, d
-		}
+	w := c.find(c.index(addr))
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	d := c.dirty[w]
+	c.tags[w], c.lru[w], c.dirty[w] = 0, 0, false
+	return true, d
 }
 
 func (c *Cache) evictAddr(set, tag uint64) uint64 {
-	return (tag<<uint(bits.TrailingZeros64(c.setMask+1)) | set) * dram.LineBytes
+	return (tag<<c.setShift | set) * dram.LineBytes
 }

@@ -10,10 +10,10 @@ func small() *Cache { return New(Config{SizeBytes: 4096, Ways: 4}) } // 16 sets
 
 func TestMissThenHit(t *testing.T) {
 	c := small()
-	if hit, _ := c.Access(0x1000, false); hit {
+	if hit, _, _ := c.Access(0x1000, false); hit {
 		t.Fatal("cold access hit")
 	}
-	if hit, _ := c.Access(0x1000, false); !hit {
+	if hit, _, _ := c.Access(0x1000, false); !hit {
 		t.Fatal("warm access missed")
 	}
 	st := c.Stats()
@@ -54,9 +54,10 @@ func TestDirtyEvictionCarriesAddress(t *testing.T) {
 	c := small()
 	stride := uint64(c.Sets() * 64)
 	c.Access(0, true) // dirty
-	var ev *Eviction
-	for i := uint64(1); ev == nil; i++ {
-		_, ev = c.Access(i*stride, false)
+	var ev Eviction
+	evicted := false
+	for i := uint64(1); !evicted; i++ {
+		_, ev, evicted = c.Access(i*stride, false)
 	}
 	if !ev.Dirty || ev.Addr != 0 {
 		t.Fatalf("eviction %+v, want dirty addr 0", ev)

@@ -47,25 +47,27 @@ func (h *Hierarchy) L1WritebackMisses() int64 { return h.wbMisses }
 // Access performs one load (write=false) or store (write=true) at the
 // line-aligned address and propagates misses and evictions down the
 // hierarchy. It returns which levels hit.
+//
+//zr:hotpath
 func (h *Hierarchy) Access(addr uint64, write bool) (l1Hit, l2Hit bool) {
-	l1Hit, l1Ev := h.L1.Access(addr, write)
-	if l1Ev != nil && l1Ev.Dirty {
+	l1Hit, l1Ev, l1Evicted := h.L1.Access(addr, write)
+	if l1Evicted && l1Ev.Dirty {
 		// Dirty L1 victim is written into L2. The line is inclusive
 		// in this model, so this is a hit unless L2 already evicted
 		// it; either way it becomes dirty in L2.
-		hit, l2Ev := h.L2.Access(l1Ev.Addr, true)
+		hit, l2Ev, l2Evicted := h.L2.Access(l1Ev.Addr, true)
 		if hit {
 			h.wbHits++
 		} else {
 			h.wbMisses++
 		}
-		h.memEvict(l2Ev)
+		h.memEvict(l2Ev, l2Evicted)
 	}
 	if l1Hit {
 		return true, false
 	}
-	l2Hit, l2Ev := h.L2.Access(addr, false)
-	h.memEvict(l2Ev)
+	l2Hit, l2Ev, l2Evicted := h.L2.Access(addr, false)
+	h.memEvict(l2Ev, l2Evicted)
 	if !l2Hit {
 		h.fills++
 		if h.OnFill != nil {
@@ -75,8 +77,8 @@ func (h *Hierarchy) Access(addr uint64, write bool) (l1Hit, l2Hit bool) {
 	return false, l2Hit
 }
 
-func (h *Hierarchy) memEvict(ev *Eviction) {
-	if ev == nil || !ev.Dirty {
+func (h *Hierarchy) memEvict(ev Eviction, evicted bool) {
+	if !evicted || !ev.Dirty {
 		return
 	}
 	h.writebacks++

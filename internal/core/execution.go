@@ -18,10 +18,9 @@ import (
 // while the refresh engine skips everything it can.
 type ExecutionDriver struct {
 	sys  *System
-	prof workload.Profile
+	img  workload.Image
 	gen  *workload.AccessGen
 	hier *cache.Hierarchy
-	seed uint64
 
 	// cacheVersion is the version of a line as the core sees it
 	// (bumped by stores); dramVersion is the version last written back
@@ -50,10 +49,9 @@ func NewExecutionDriver(sys *System, prof workload.Profile, seed uint64, base ui
 	wsLines := max(1, (uint64(prof.WorkingSetBytes)+dram.LineBytes-1)/dram.LineBytes)
 	d := &ExecutionDriver{
 		sys:          sys,
-		prof:         prof,
+		img:          prof.Image(seed, base/dram.LineBytes, wsLines),
 		gen:          workload.NewAccessGen(prof, seed, base),
 		hier:         cache.NewHierarchy(),
-		seed:         seed,
 		baseLine:     base / dram.LineBytes,
 		cacheVersion: make([]uint64, wsLines),
 		dramVersion:  make([]uint64, wsLines),
@@ -72,7 +70,7 @@ func (d *ExecutionDriver) slot(addr uint64) uint64 {
 
 // content generates the line image at a given version.
 func (d *ExecutionDriver) content(addr uint64, version uint64) [64]byte {
-	return d.prof.LineAt(d.seed, addr/dram.LineBytes, version)
+	return d.img.LineAt(addr/dram.LineBytes, version)
 }
 
 func (d *ExecutionDriver) writeback(addr uint64) {

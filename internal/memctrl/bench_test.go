@@ -126,3 +126,39 @@ func BenchmarkWriteZeroRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulateClosedLoop times one Figure 17 closed-loop run: the
+// 8-bank rank at the paper-scale AR cadence, 4 cores x MLP 4 over a 2 ms
+// horizon, a tpch-q5-like request mix, under a recorded per-AR schedule in
+// which most commands are partly skipped. One op is one whole run, which
+// builds its per-run refresh windows and bank state.
+func BenchmarkSimulateClosedLoop(b *testing.B) {
+	t := dram.DefaultTiming()
+	cfg := ClosedLoopConfig{
+		Perf: PerfConfig{
+			Banks:       8,
+			ARInterval:  t.TRET / 8192,
+			HitService:  t.TCAS + t.TBurst,
+			MissService: t.TRP + t.TRCD + t.TCAS + t.TBurst,
+		},
+		Cores: 4, MLP: 4,
+		ThinkNs:    4 * 100 * 0.55 / 4.0, // MLP x instructions/miss x CPI / GHz
+		RowHitRate: 0.70, WriteFrac: 0.25, Seed: 1,
+	}
+	rng := rand.New(rand.NewSource(3))
+	busy := make([][]dram.Time, cfg.Perf.Banks)
+	for bk := range busy {
+		busy[bk] = make([]dram.Time, 1024)
+		for k := range busy[bk] {
+			busy[bk][k] = dram.Time(rng.Intn(350))
+		}
+	}
+	sched := SliceSchedule{Busy: busy}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := SimulateClosedLoop(cfg, sched, 2*dram.Millisecond); r.Reads == 0 {
+			b.Fatal("no requests completed")
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math"
 	"sort"
 
 	"zerorefresh/internal/dram"
@@ -110,6 +111,48 @@ func (r *clRand) next() uint64 {
 
 func (r *clRand) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
+// probThreshold returns the integer threshold t with
+// float(x) < p  <=>  x>>11 < t  for every draw x. float(x) is (x>>11)/2^53,
+// an exact division by a power of two, and p*2^53 is exact too, so for the
+// integer k = x>>11 the test k/2^53 < p is k < p*2^53, which is k < t with
+// t = ceil(p*2^53); p >= 1 always passes and p <= 0 (or NaN) never does.
+func probThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case !(p > 0):
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// issueHeap is a binary min-heap of the request slots' next issue times.
+// Slots are interchangeable — what a slot does next depends only on its
+// issue time, never on which slot it is — so the heap holds the times
+// alone: whichever of several equal-time slots issues first, the run is
+// the same.
+type issueHeap []dram.Time
+
+// down sifts t into the heap from position i, the hole it fills.
+func (h issueHeap) down(i int, t dram.Time) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
+		}
+		if h[c] >= t {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
+}
+
 // SimulateClosedLoop runs the closed-loop model until the horizon.
 func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time) ClosedLoopResult {
 	slots := cfg.Cores * cfg.MLP
@@ -126,28 +169,45 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 	// likely to have a row buffer miss").
 	lastServed := make([]dram.Time, cfg.Perf.Banks)
 	refWin := make([]int, cfg.Perf.Banks)
-	nextIssue := make([]dram.Time, slots)
-	for i := range nextIssue {
+	h := make(issueHeap, slots)
+	for i := range h {
 		// Stagger slot starts across one think period.
-		nextIssue[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
+		h[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
+	}
+	for i := slots/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
+	// The per-request draws, hoisted: a power-of-two bank count masks
+	// instead of dividing, and the probability tests compare the raw
+	// draw against integer thresholds (exact; see probThreshold).
+	banks := uint64(cfg.Perf.Banks)
+	bankMask := banks - 1
+	pow2Banks := banks&bankMask == 0
+	hitThresh := probThreshold(cfg.RowHitRate)
+	// Piggyback a writeback with probability wf/(1-wf) (write traffic
+	// share of total); it occupies the bank but does not stall the core.
+	wf := cfg.WriteFrac
+	piggyback := wf > 0 && wf < 1
+	var wbThresh uint64
+	if piggyback {
+		wbThresh = probThreshold(wf / (1 - wf))
 	}
 	rng := clRand{state: cfg.Seed ^ 0xc105ed100b}
 	res := ClosedLoopResult{Horizon: horizon}
 
 	for {
 		// Next slot to issue.
-		s := 0
-		for i := 1; i < slots; i++ {
-			if nextIssue[i] < nextIssue[s] {
-				s = i
-			}
-		}
-		arrive := nextIssue[s]
+		arrive := h[0]
 		if arrive >= horizon {
 			break
 		}
-		bank := int(rng.next() % uint64(cfg.Perf.Banks))
-		rowHit := rng.float() < cfg.RowHitRate
+		var bank int
+		if pow2Banks {
+			bank = int(rng.next() & bankMask)
+		} else {
+			bank = int(rng.next() % banks)
+		}
+		rowHit := rng.next()>>11 < hitThresh
 		start := arrive
 		if bankFree[bank] > start {
 			start = bankFree[bank]
@@ -196,10 +256,7 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		lastServed[bank] = complete
 		res.Reads++
 		res.TotalLatency += complete - arrive
-		// Piggyback a writeback with probability wf/(1-wf) (write
-		// traffic share of total); it occupies the bank but does not
-		// stall the core.
-		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rng.float() < wf/(1-wf) {
+		if piggyback && rng.next()>>11 < wbThresh {
 			bankFree[bank] += cfg.Perf.HitService
 			res.Writebacks++
 		}
@@ -207,7 +264,7 @@ func SimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dra
 		// misses vary, and a deterministic gap can phase-lock with the
 		// refresh cadence and overstate (or hide) interference.
 		think := cfg.ThinkNs * (0.75 + 0.5*rng.float())
-		nextIssue[s] = complete + dram.Time(think)
+		h.down(0, complete+dram.Time(think))
 	}
 	return res
 }

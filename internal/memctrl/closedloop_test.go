@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"zerorefresh/internal/dram"
@@ -148,4 +149,172 @@ func TestClosedLoopRefreshClosesRows(t *testing.T) {
 	if float64(extra)/float64(loaded.Reads) <= float64(free.TotalLatency)/float64(free.Reads) {
 		t.Fatal("refresh-induced row misses not reflected in latency")
 	}
+}
+
+// TestClosedLoopMatchesOracle runs the heap-scheduled kernel and the
+// linear-scan oracle on random configurations — bank counts on and off a
+// power of two, both refresh policies, constant and recorded schedules, and
+// the probability edges 0, 0.5 and 1 — and requires identical results.
+func TestClosedLoopMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	probs := []float64{0, 0.5, 1}
+	pick := func() float64 {
+		if rng.Intn(2) == 0 {
+			return probs[rng.Intn(len(probs))]
+		}
+		return rng.Float64()
+	}
+	for n := 0; n < 1200; n++ {
+		banks := []int{1, 3, 8, 16}[rng.Intn(4)]
+		cfg := ClosedLoopConfig{
+			Perf: PerfConfig{
+				Banks:      banks,
+				ARInterval: dram.Time(500 + rng.Intn(4000)),
+				AllBank:    rng.Intn(2) == 0,
+				HitService: dram.Time(10 + rng.Intn(10)), MissService: dram.Time(25 + rng.Intn(20)),
+			},
+			Cores: 1 + rng.Intn(4), MLP: 1 + rng.Intn(4),
+			ThinkNs:    float64(rng.Intn(400)),
+			RowHitRate: pick(), WriteFrac: pick(),
+			Seed: rng.Uint64(),
+		}
+		var sched RefreshSchedule = ConstantSchedule{Busy: dram.Time(rng.Intn(900))}
+		if rng.Intn(2) == 0 {
+			busy := make([][]dram.Time, banks)
+			for b := range busy {
+				busy[b] = make([]dram.Time, 1+rng.Intn(8))
+				for k := range busy[b] {
+					busy[b][k] = dram.Time(rng.Intn(900))
+				}
+			}
+			sched = SliceSchedule{Busy: busy}
+		}
+		horizon := dram.Time(5_000 + rng.Intn(40_000))
+		got, want := SimulateClosedLoop(cfg, sched, horizon), oracleSimulateClosedLoop(cfg, sched, horizon)
+		if got != want {
+			t.Fatalf("config %d %+v: got %+v, oracle %+v", n, cfg, got, want)
+		}
+	}
+}
+
+func TestProbThresholdExact(t *testing.T) {
+	// float(x) < p and x>>11 < probThreshold(p) agree for draws right at
+	// each threshold, including the edges.
+	for _, p := range []float64{0, 1e-300, 0.25, 0.3, 0.5, 0.7, 1 - 1e-16, 1, 1.5, -0.5} {
+		th := probThreshold(p)
+		for _, k := range []uint64{0, 1, th - 1, th, th + 1, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			x := k << 11
+			if got, want := x>>11 < th, float64(x>>11)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v k=%d: threshold test %v, float test %v", p, k, got, want)
+			}
+		}
+	}
+}
+
+// oracleSimulateClosedLoop is the original closed-loop kernel, kept
+// verbatim as the specification of SimulateClosedLoop: a linear scan for
+// the next slot (lowest index wins ties), the bank drawn by modulo and the
+// probability tests made on float draws.
+func oracleSimulateClosedLoop(cfg ClosedLoopConfig, sched RefreshSchedule, horizon dram.Time) ClosedLoopResult {
+	slots := cfg.Cores * cfg.MLP
+	if slots <= 0 {
+		return ClosedLoopResult{Horizon: horizon}
+	}
+	busy := refreshWindows(cfg.Perf, sched, horizon)
+	nextWin := make([]int, cfg.Perf.Banks)
+	bankFree := make([]dram.Time, cfg.Perf.Banks)
+	// lastServed and refWin track refresh-induced row-buffer misses: a
+	// refresh closes the open row, so the first access to a bank after
+	// any refresh window pays the miss latency even if it would have
+	// hit (Section III-A: "after refreshing, the next data access is
+	// likely to have a row buffer miss").
+	lastServed := make([]dram.Time, cfg.Perf.Banks)
+	refWin := make([]int, cfg.Perf.Banks)
+	nextIssue := make([]dram.Time, slots)
+	for i := range nextIssue {
+		// Stagger slot starts across one think period.
+		nextIssue[i] = dram.Time(float64(i) * cfg.ThinkNs / float64(slots))
+	}
+	rng := clRand{state: cfg.Seed ^ 0xc105ed100b}
+	res := ClosedLoopResult{Horizon: horizon}
+
+	for {
+		// Next slot to issue.
+		s := 0
+		for i := 1; i < slots; i++ {
+			if nextIssue[i] < nextIssue[s] {
+				s = i
+			}
+		}
+		arrive := nextIssue[s]
+		if arrive >= horizon {
+			break
+		}
+		bank := int(rng.next() % uint64(cfg.Perf.Banks))
+		rowHit := rng.float() < cfg.RowHitRate
+		start := arrive
+		if bankFree[bank] > start {
+			start = bankFree[bank]
+		}
+		ws := busy[bank]
+		i := nextWin[bank]
+		for i < len(ws) {
+			w := ws[i]
+			if w.end <= start {
+				i++
+				continue
+			}
+			// Service-time check below uses the miss latency bound,
+			// conservative for hits.
+			if w.start >= start+cfg.Perf.MissService {
+				break
+			}
+			res.RefreshWait += w.end - start
+			start = w.end
+			i++
+		}
+		nextWin[bank] = i
+		// Any refresh window that ended since the bank's last service
+		// closed its open row: the access pays a row miss. This only
+		// bites when the bank was in active use — an idle bank's row
+		// would have been closed by the controller's idle-precharge
+		// policy regardless, and that case is already priced into the
+		// average RowHitRate.
+		const openRowWindow = 500 // ns of bank inactivity before idle precharge
+		j := refWin[bank]
+		for j < len(ws) && ws[j].end <= start {
+			j++
+		}
+		if j > refWin[bank] && ws[refWin[bank]].end > lastServed[bank] &&
+			start-lastServed[bank] < openRowWindow {
+			rowHit = false
+			res.RefreshRowMisses++
+		}
+		refWin[bank] = j
+		svc := cfg.Perf.MissService
+		if rowHit {
+			svc = cfg.Perf.HitService
+		}
+		complete := start + svc
+		bankFree[bank] = complete
+		lastServed[bank] = complete
+		res.Reads++
+		res.TotalLatency += complete - arrive
+		// Piggyback a writeback with probability wf/(1-wf) (write
+		// traffic share of total); it occupies the bank but does not
+		// stall the core.
+		if wf := cfg.WriteFrac; wf > 0 && wf < 1 && rng.float() < wf/(1-wf) {
+			bankFree[bank] += cfg.Perf.HitService
+			res.Writebacks++
+		}
+		// Jitter the think time +/-25%: instruction counts between
+		// misses vary, and a deterministic gap can phase-lock with the
+		// refresh cadence and overstate (or hide) interference.
+		think := cfg.ThinkNs * (0.75 + 0.5*rng.float())
+		nextIssue[s] = complete + dram.Time(think)
+	}
+	return res
 }

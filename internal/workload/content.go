@@ -100,3 +100,51 @@ func (c *Cursor) Next() [64]byte {
 	c.line++
 	return c.seg.class.Line(&r).Bytes()
 }
+
+// Image is random-access content over a fixed range of a profile's memory
+// image: LineAt(line, version) returns what the per-line definition
+// returns, in O(1) for a line inside the range. Building it walks the
+// range's chunks forward once and records each chunk's segment class in a
+// dense table; a lookup is then the class table entry plus the same line
+// hash and class generator Cursor.Next runs, so it is exact. A line outside
+// the range falls back to Profile.LineAt.
+type Image struct {
+	prof       Profile
+	seed       uint64
+	pre        rng.HashPrefix // Hash state after (seed, HashString(name))
+	firstChunk uint64
+	classes    []PageClass // class of chunk firstChunk+i
+}
+
+// Image builds random-access content for the lines
+// [firstLine, firstLine+lines) of the image.
+func (p Profile) Image(seed, firstLine, lines uint64) Image {
+	first := firstLine / ChunkLines
+	s := p.segmentsAt(seed, first)
+	im := Image{prof: p, seed: seed, pre: s.pre, firstChunk: first}
+	if lines == 0 {
+		return im
+	}
+	im.classes = make([]PageClass, (firstLine+lines-1)/ChunkLines-first+1)
+	for i := range im.classes {
+		if i > 0 {
+			s.next()
+		}
+		im.classes[i] = s.class
+	}
+	return im
+}
+
+// LineAt returns the content of global line at value generation version.
+//
+//zr:hotpath
+func (im *Image) LineAt(line, version uint64) [64]byte {
+	// A chunk below the range wraps to a huge index and falls back too.
+	i := line/ChunkLines - im.firstChunk
+	if i >= uint64(len(im.classes)) {
+		return im.prof.LineAt(im.seed, line, version)
+	}
+	var r SplitMix
+	r.Reseed(rng.HashFrom(im.pre, line+1, version))
+	return im.classes[i].Line(&r).Bytes()
+}

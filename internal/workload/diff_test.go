@@ -124,3 +124,94 @@ func TestSegmentWalkMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// imageRanges are [first, first+lines) line ranges whose ends sit on and
+// around the forced-edge chunks 0/255/256/257/4095/4096.
+func imageRanges() [][2]uint64 {
+	var out [][2]uint64
+	for _, a := range []uint64{0, 255, 256, 257, 4095} {
+		for _, b := range []uint64{256, 257, 4095, 4096} {
+			if b <= a {
+				continue
+			}
+			// From a's first line to b's last; and from a's last line
+			// to b's first.
+			out = append(out,
+				[2]uint64{a * ChunkLines, (b + 1) * ChunkLines},
+				[2]uint64{a*ChunkLines + ChunkLines - 1, b*ChunkLines - a*ChunkLines - ChunkLines + 2})
+		}
+	}
+	return out
+}
+
+// imageProbes are the lines of [first, first+lines) the image tests read:
+// both ends, the chunk edges inside, and one line a stride apart, plus the
+// lines just outside the range that must take the fallback.
+func imageProbes(first, lines uint64) []uint64 {
+	out := []uint64{first, first + lines - 1, first + lines, first + lines + 5*ChunkLines}
+	if first > 0 {
+		out = append(out, first-1, first/2)
+	}
+	for _, ch := range forcedEdgeChunks {
+		for _, l := range []uint64{ch * ChunkLines, ch*ChunkLines + ChunkLines - 1} {
+			if l >= first && l < first+lines {
+				out = append(out, l)
+			}
+		}
+	}
+	for l := first; l < first+lines; l += 509 {
+		out = append(out, l)
+	}
+	return out
+}
+
+func TestImageMatchesOracle(t *testing.T) {
+	for _, p := range Benchmarks() {
+		for _, seed := range []uint64{0, 1} {
+			for _, r := range imageRanges() {
+				im := p.Image(seed, r[0], r[1])
+				for _, line := range imageProbes(r[0], r[1]) {
+					for _, v := range []uint64{0, 3} {
+						got := im.LineAt(line, v)
+						if want := p.oracleLineAt(seed, line, v); got != want {
+							t.Fatalf("%s seed %d image [%d,+%d) line %d v%d: diverged from the oracle",
+								p.Name, seed, r[0], r[1], line, v)
+						}
+						if want := p.LineAt(seed, line, v); got != want {
+							t.Fatalf("%s seed %d image [%d,+%d) line %d v%d: diverged from LineAt",
+								p.Name, seed, r[0], r[1], line, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestImageCoversEveryLine(t *testing.T) {
+	// A whole 2.4 MB working set (tpch-q5's) at an unaligned base: every
+	// line from the class table agrees with the per-line definition.
+	p, _ := ByName("tpch-q5")
+	first := uint64(3*ChunkLines + 7)
+	lines := uint64(p.WorkingSetBytes) / 64
+	im := p.Image(1, first, lines)
+	if want := (first+lines-1)/ChunkLines - first/ChunkLines + 1; uint64(len(im.classes)) != want {
+		t.Fatalf("class table has %d chunks, want %d", len(im.classes), want)
+	}
+	cur := p.Cursor(1, first, 2)
+	for l := first; l < first+lines; l++ {
+		if got, want := im.LineAt(l, 2), cur.Next(); got != want {
+			t.Fatalf("line %d: image diverged from the cursor", l)
+		}
+	}
+}
+
+func TestEmptyImageFallsBack(t *testing.T) {
+	p, _ := ByName("mcf")
+	im := p.Image(7, 4096*ChunkLines, 0)
+	for _, line := range []uint64{0, 4096 * ChunkLines, 4096*ChunkLines + 1} {
+		if got, want := im.LineAt(line, 1), p.oracleLineAt(7, line, 1); got != want {
+			t.Fatalf("line %d: empty image diverged from the oracle", line)
+		}
+	}
+}

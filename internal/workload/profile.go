@@ -272,12 +272,6 @@ func (p Profile) ClassOfChunk(seed, chunk uint64) PageClass {
 	return s.class
 }
 
-// ClassOfPage returns the class of the first chunk of a 4 KB page; most
-// pages are segment-interior and therefore wholly of this class.
-func (p Profile) ClassOfPage(seed uint64, pageIdx uint64) PageClass {
-	return p.ClassOfChunk(seed, pageIdx*(4096/ChunkBytes))
-}
-
 // LineAt deterministically generates the content of the cacheline with
 // global line index globalLine (byte address / 64). version selects a
 // value generation; rewriting a line with a new version models a store
@@ -285,11 +279,6 @@ func (p Profile) ClassOfPage(seed uint64, pageIdx uint64) PageClass {
 func (p Profile) LineAt(seed, globalLine, version uint64) [64]byte {
 	c := p.Cursor(seed, globalLine, version)
 	return c.Next()
-}
-
-// LineContent generates cacheline slot lineIdx (0..63) of a 4 KB page.
-func (p Profile) LineContent(seed, pageIdx uint64, lineIdx int) [64]byte {
-	return p.LineAt(seed, pageIdx*(4096/64)+uint64(lineIdx), 0)
 }
 
 // SkipUnitFraction estimates, from the class tables alone, the fraction of

@@ -83,13 +83,14 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestClassOfPageIsDeterministicAndMixFaithful(t *testing.T) {
+func TestClassOfChunkIsDeterministicAndMixFaithful(t *testing.T) {
 	p, _ := ByName("gcc")
 	const pages = 60000
 	counts := map[PageClass]int{}
 	for i := uint64(0); i < pages; i++ {
-		c1 := p.ClassOfPage(7, i)
-		c2 := p.ClassOfPage(7, i)
+		// The first chunk of each 4 KB page.
+		c1 := p.ClassOfChunk(7, i*(4096/ChunkBytes))
+		c2 := p.ClassOfChunk(7, i*(4096/ChunkBytes))
 		if c1 != c2 {
 			t.Fatal("page class not deterministic")
 		}
@@ -105,14 +106,16 @@ func TestClassOfPageIsDeterministicAndMixFaithful(t *testing.T) {
 	}
 }
 
-func TestLineContentDeterministic(t *testing.T) {
+func TestLineAtDeterministic(t *testing.T) {
 	p, _ := ByName("mcf")
-	a := p.LineContent(1, 42, 7)
-	b := p.LineContent(1, 42, 7)
+	// Line slot 7 of 4 KB page 42, at version 0.
+	const line = 42*(4096/64) + 7
+	a := p.LineAt(1, line, 0)
+	b := p.LineAt(1, line, 0)
 	if a != b {
 		t.Fatal("content not deterministic")
 	}
-	c := p.LineContent(2, 42, 7)
+	c := p.LineAt(2, line, 0)
 	if a == c {
 		t.Fatal("different seeds should give different content")
 	}
