@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime/metrics"
@@ -36,7 +35,6 @@ func main() {
 		exp      = flag.String("exp", "fig14", "experiment: table1,table2,fig4,fig5,fig6,fig14,fig15,fig16,fig17,fig18,fig19,compare,cmdlevel,power,metrics,smoke,timeline,longhorizon,violation,all")
 		capacity = flag.Int64("capacity", 32, "simulated rank capacity in MB")
 		windows  = flag.Int("windows", 8, "measured retention windows")
-		engineID = flag.String("engine", "dense", "simulation core: dense (per-window loop) or events (event queue with idle-window skipping); results are identical")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 23)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
@@ -45,7 +43,6 @@ func main() {
 		traceTo  = flag.String("trace", "", "write the run's event trace to this file: NDJSON for a .ndjson path (the /trace/tail line format, zrquery-ready), Chrome trace-event JSON otherwise")
 		traceCap = flag.Int("trace-cap", 0, "per-shard trace ring capacity in events (default trace.DefaultShardCap; raise it when -trace exports of long runs report drops)")
 		metTo    = flag.String("metrics-out", "", "write the per-window metrics time-series to this file (.json for JSON, CSV otherwise)")
-		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
 		rtDump   = flag.Bool("runtime-metrics", false, "dump Go runtime metrics to stderr after the run")
 
 		serveAddr  = flag.String("serve", "", "serve the live introspection plane on this address (/metrics, /metrics.json, /healthz, /progress, /flight, /alerts, /trace/tail, /debug/pprof, /debug/vars); keeps serving the final state after the run until interrupted")
@@ -62,15 +59,14 @@ func main() {
 		return
 	}
 
-	if *pprofOn != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofOn, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "zrsim: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "zrsim: pprof serving on http://%s/debug/pprof/\n", *pprofOn)
+	// A zero scale would silently fall back to the sim defaults; the flag
+	// defaults already say what "unset" means, so an explicit 0 is an error.
+	if *capacity == 0 {
+		fail(fmt.Errorf("-capacity 0: the rank needs a positive capacity in MB"))
 	}
-
+	if *windows == 0 {
+		fail(fmt.Errorf("-windows 0: the run needs at least one measured window"))
+	}
 	o := sim.Options{
 		Capacity: *capacity << 20,
 		Windows:  *windows,
@@ -78,13 +74,6 @@ func main() {
 	}
 	if err := o.Validate(); err != nil {
 		fail(err)
-	}
-	switch *engineID {
-	case "dense":
-	case "events":
-		o.Events = true
-	default:
-		fail(fmt.Errorf("unknown engine %q (want dense or events)", *engineID))
 	}
 	if *traceTo != "" {
 		o.Trace = trace.New(*traceCap)

@@ -97,20 +97,28 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestNegativeScaleFlagsExitNonZero pins that a negative or explicitly zero
+// -capacity or -windows exits 1 with a message naming the bad value instead
+// of running with a default.
 func TestNegativeScaleFlagsExitNonZero(t *testing.T) {
-	for _, args := range [][]string{
-		{"-exp", "fig14", "-windows", "-1"},
-		{"-exp", "table1", "-capacity", "-8"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "fig14", "-windows", "-1"}, "negative"},
+		{[]string{"-exp", "table1", "-capacity", "-8"}, "negative"},
+		{[]string{"-exp", "table1", "-capacity", "0"}, "-capacity 0"},
+		{[]string{"-exp", "table1", "-windows", "0"}, "-windows 0"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), "ZRSIM_RUN_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-			t.Fatalf("zrsim %v: err = %v, want a non-zero exit\n%s", args, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("zrsim %v: err = %v, want exit status 1\n%s", tc.args, err, out)
 		}
-		if !strings.Contains(string(out), "negative") {
-			t.Fatalf("zrsim %v: output does not name the bad value:\n%s", args, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("zrsim %v: output does not contain %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import "zerorefresh/internal/metrics"
 //     words live in large contiguous chunks carved into fixed row-sized
 //     slots (chunked growth keeps already-handed-out slices stable), and
 //     row structs come from a chunked pool. A line op materializes its
-//     Chips sibling chip-rows back-to-back into consecutive slots, so the
+//     LineChips sibling chip-rows back-to-back into consecutive slots, so the
 //     rows it revisits are adjacent and refresh scans walk cache-linear
 //     memory.
 //
@@ -93,8 +93,8 @@ func (s *storageStats) noteUsed(d int64) {
 // bankSlab is the word and row-struct storage of one rank-level bank,
 // shared by that bank's arenas across all chips. Sharing is what keeps a
 // cacheline's sibling chip-rows adjacent in memory: a line write
-// materializes all Chips of them back-to-back, so they come out of
-// consecutive slots of one chunk instead of Chips distinct page-aligned
+// materializes all LineChips of them back-to-back, so they come out of
+// consecutive slots of one chunk instead of LineChips distinct page-aligned
 // slabs — one page walk per line op instead of one per chip.
 type bankSlab struct {
 	st          *storageStats

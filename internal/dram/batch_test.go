@@ -45,7 +45,7 @@ func compareTwins(t *testing.T, a, b *Module, ta, tb *trace.Tracer) {
 	}
 	attr.MustMatch(t, "batched vs scalar", ta.Events(), tb.Events())
 	cfg := a.Config()
-	for chip := 0; chip < cfg.Chips; chip++ {
+	for chip := 0; chip < LineChips; chip++ {
 		for bank := 0; bank < cfg.Banks; bank++ {
 			for row := 0; row < cfg.RowsPerBank; row++ {
 				ra := a.bankOf(chip, bank)[row]
@@ -234,13 +234,4 @@ func TestBatchedBoundsPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	narrow := testConfig()
-	narrow.Chips = 4
-	nm := New(narrow)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("narrow rank: expected panic from line-granular access")
-		}
-	}()
-	nm.WriteLineWords(0, 0, 0, [LineChips]uint64{}, 0)
 }

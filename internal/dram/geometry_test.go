@@ -56,14 +56,13 @@ func TestConfigValidateRejectsBadGeometry(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"zero chips", func(c *Config) { c.Chips = 0 }},
 		{"zero banks", func(c *Config) { c.Banks = 0 }},
 		{"zero rows", func(c *Config) { c.RowsPerBank = 0 }},
 		{"zero row bytes", func(c *Config) { c.RowBytes = 0 }},
 		{"zero cell group", func(c *Config) { c.CellGroupRows = 0 }},
 		{"row not divisible by chips", func(c *Config) { c.RowBytes = 4100 }},
 		{"rows not divisible by chips", func(c *Config) { c.RowsPerBank = 1021 }},
-		{"line-unaligned row", func(c *Config) { c.Chips = 4; c.RowBytes = 96 }},
+		{"line-unaligned row", func(c *Config) { c.RowBytes = 96 }},
 		{"no retention window", func(c *Config) { c.Timing.TRET = 0 }},
 		{"no AR budget", func(c *Config) { c.Timing.NumAutoRefresh = 0 }},
 	}

@@ -34,9 +34,6 @@ func (m *Module) ReplayRefreshGroup(bank int, rows [LineChips]int, first, period
 		m.RefreshGroup(bank, rows, first)
 		return
 	}
-	if m.cfg.Chips != LineChips {
-		panic(fmt.Sprintf("dram: group refresh needs %d chips, rank has %d", LineChips, m.cfg.Chips))
-	}
 	if bank < 0 || bank >= m.cfg.Banks {
 		panic(fmt.Sprintf("dram: bank %d out of range [0,%d)", bank, m.cfg.Banks))
 	}

@@ -86,7 +86,7 @@ func TestModelNormalizedEnergyTracksReduction(t *testing.T) {
 	cfg := dram.DefaultConfig(8 << 20)
 	mod := dram.New(cfg)
 	eng := refresh.NewEngine(mod, refresh.Config{Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true})
-	m := NewModel(cfg, eng)
+	m := NewModel(eng)
 
 	eng.RunCycle(0)                       // learning cycle: all refreshed
 	idle := eng.RunCycle(cfg.Timing.TRET) // idle memory: all skipped

@@ -27,12 +27,12 @@ type Model struct {
 	SRAMBytes int
 }
 
-// NewModel builds the default energy model for an engine attached to a
-// module of the given geometry.
-func NewModel(cfg dram.Config, eng *refresh.Engine) Model {
+// NewModel builds the default energy model for an engine attached to an
+// 8-chip rank.
+func NewModel(eng *refresh.Engine) Model {
 	return Model{
 		Params:    TableII(),
-		Devices:   cfg.Chips,
+		Devices:   dram.LineChips,
 		TRFCns:    DensityTRFC(32), // Table II implies 32 Gb devices
 		RowsPerAR: eng.Config().RowsPerAR,
 		TRCns:     50,

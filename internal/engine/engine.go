@@ -32,7 +32,7 @@ type Tracer = trace.Sink
 // the identical state transitions for a whole cacheline or refresh diagonal
 // in one call — same cell state, counters and trace events, one interface
 // dispatch and one bounds check instead of eight — and are what the hot
-// paths use on the standard LineChips-wide rank.
+// paths use.
 type MemoryBackend interface {
 	// Config returns the rank geometry.
 	Config() dram.Config

@@ -113,7 +113,7 @@ func TestAddressMapBoundaries(t *testing.T) {
 
 	// One stagger block (Chips rows) of one bank holds contiguous memory;
 	// the next block lands in the next bank at the same rows.
-	blockBytes := uint64(cfg.Chips) * uint64(cfg.RowBytes)
+	blockBytes := uint64(dram.LineChips) * uint64(cfg.RowBytes)
 	locA, _ := a.Locate(blockBytes - dram.LineBytes)
 	locB, _ := a.Locate(blockBytes)
 	if locA.Bank != 0 || locB.Bank != 1 || locB.Row != 0 || locB.Slot != 0 {

@@ -12,7 +12,7 @@ import "fmt"
 // allocated page), idealizing a buddy allocator: free memory stays
 // contiguous in large spans, as Linux's buddy system maintains. This
 // matters for ZERO-REFRESH because refresh skipping operates on
-// stagger-block units (Chips rows); page-granular fragmentation of free
+// stagger-block units (8 rows); page-granular fragmentation of free
 // memory would leave most blocks mixed and unskippable, which is not how
 // real kernels leave free memory.
 type Allocator struct {

@@ -16,7 +16,7 @@ type CycleStats struct {
 	Skipped   int64
 	// ChipRefreshed and ChipSkipped count chip-row refreshes — the
 	// common currency between the rank-synchronous and per-chip-status
-	// designs (a step is Chips chip-rows).
+	// designs (a step is 8 chip-rows).
 	ChipRefreshed int64
 	ChipSkipped   int64
 	// TableRows is the extra refresh work for the DRAM-resident

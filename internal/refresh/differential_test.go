@@ -7,14 +7,33 @@ import (
 
 	"zerorefresh/internal/attr"
 	"zerorefresh/internal/dram"
+	"zerorefresh/internal/engine"
 	"zerorefresh/internal/trace"
 )
 
 // Differential test for the batched refresh step: an engine routing
-// refreshStep through the backend's RefreshGroup call is driven against a
-// twin forced onto the per-chip scalar loop (scalarStep), under identical
-// write traffic with spared rows, per-chip-status and all-bank variants.
-// Every AR result, counter, trace event and module state must match.
+// refreshStep through the module's RefreshGroup call is driven against a
+// twin over scalarBackend, the per-chip reference, under identical write
+// traffic with spared rows, per-chip-status and all-bank variants. Every
+// AR result, counter, trace event and module state must match.
+
+// scalarBackend is the per-chip reference twin of the batched refresh
+// path. Its RefreshGroup is the scalar Refresh + IsSpared loop, it never
+// claims a discharged span, and it hides the module's bulk IdleReplayer
+// extension, so an engine over it runs the plain per-step sweep.
+type scalarBackend struct{ engine.MemoryBackend }
+
+func (s scalarBackend) RefreshGroup(bank int, rows [dram.LineChips]int, now dram.Time) uint16 {
+	var mask uint16
+	for chip, row := range rows {
+		if s.Refresh(chip, bank, row, now) && !s.IsSpared(row) {
+			mask |= 1 << chip
+		}
+	}
+	return mask
+}
+
+func (scalarBackend) RefreshSpanDischarged(bank, lo, hi, groups int) bool { return false }
 
 func diffEngines(t *testing.T, cfg Config, sparedEvery int) (batched, scalar *Engine, mods [2]*dram.Module, trs [2]*trace.Tracer) {
 	t.Helper()
@@ -28,10 +47,9 @@ func diffEngines(t *testing.T, cfg Config, sparedEvery int) (batched, scalar *En
 			}
 		}
 	}
-	batched, scalar = NewEngine(mods[0], cfg), NewEngine(mods[1], cfg)
+	batched, scalar = NewEngine(mods[0], cfg), NewEngine(scalarBackend{mods[1]}, cfg)
 	batched.SetTracer(trs[0].NewShard("refresh"))
 	scalar.SetTracer(trs[1].NewShard("refresh"))
-	scalar.scalarStep = true
 	return batched, scalar, mods, trs
 }
 
@@ -56,7 +74,7 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)
 					word := rng.Intn(dcfg.WordsPerChipRow())
-					chip := rng.Intn(dcfg.Chips)
+					chip := rng.Intn(dram.LineChips)
 					v := rng.Uint64()
 					if rng.Intn(3) == 0 {
 						v = dcfg.CellTypeOf(row).DischargedWord()
@@ -90,7 +108,7 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 				t.Fatalf("module metrics diverged:\nbatched %+v\nscalar  %+v", a, b)
 			}
 			attr.MustMatch(t, "batched vs scalar", trs[0].Events(), trs[1].Events())
-			for chip := 0; chip < dcfg.Chips; chip++ {
+			for chip := 0; chip < dram.LineChips; chip++ {
 				for bank := 0; bank < dcfg.Banks; bank++ {
 					for row := 0; row < dcfg.RowsPerBank; row++ {
 						if a, b := mods[0].ChargedCellCount(chip, bank, row), mods[1].ChargedCellCount(chip, bank, row); a != b {
@@ -103,10 +121,9 @@ func TestRefreshGroupStepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRefreshSpanFastMatchesScalar drives the untraced batched engine —
-// the only configuration in which the whole-command discharged-span fast
-// path may engage — against the untraced scalar twin, over traffic sparse
-// enough that most auto-refresh commands cover fully discharged spans.
+// TestRefreshSpanFastMatchesScalar drives the batched engine against the
+// scalar twin over traffic sparse enough that most auto-refresh commands
+// cover fully discharged spans, so the whole-command fast path engages.
 // Counters, statuses and module state must be indistinguishable from the
 // per-step sweep.
 func TestRefreshSpanFastMatchesScalar(t *testing.T) {
@@ -121,8 +138,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					mods[i].MarkSpared(r)
 				}
 			}
-			batched, scalar := NewEngine(mods[0], cfg), NewEngine(mods[1], cfg)
-			scalar.scalarStep = true
+			batched, scalar := NewEngine(mods[0], cfg), NewEngine(scalarBackend{mods[1]}, cfg)
 			dcfg := mods[0].Config()
 			tret := dcfg.Timing.TRET
 			rng := rand.New(rand.NewSource(71))
@@ -134,7 +150,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					bank := rng.Intn(dcfg.Banks)
 					row := rng.Intn(dcfg.RowsPerBank)
 					word := rng.Intn(dcfg.WordsPerChipRow())
-					chip := rng.Intn(dcfg.Chips)
+					chip := rng.Intn(dram.LineChips)
 					v := rng.Uint64()
 					mods[0].WriteWord(chip, bank, row, word, v, now)
 					mods[1].WriteWord(chip, bank, row, word, v, now)
@@ -164,7 +180,7 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 					t.Fatalf("skip runs diverged in bank %d", bank)
 				}
 			}
-			for chip := 0; chip < dcfg.Chips; chip++ {
+			for chip := 0; chip < dram.LineChips; chip++ {
 				for bank := 0; bank < dcfg.Banks; bank++ {
 					for row := 0; row < dcfg.RowsPerBank; row++ {
 						if a, b := mods[0].ChargedCellCount(chip, bank, row), mods[1].ChargedCellCount(chip, bank, row); a != b {
@@ -177,21 +193,63 @@ func TestRefreshSpanFastMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestScalarFallbackOnNarrowRank pins that a rank with a non-standard chip
-// count transparently uses the scalar loop (the batched group call requires
-// dram.LineChips chips).
-func TestScalarFallbackOnNarrowRank(t *testing.T) {
-	cfg := dram.DefaultConfig(8 << 20)
-	cfg.Chips = 4
-	cfg.CellGroupRows = 64
-	m := dram.New(cfg)
-	e := NewEngine(m, Config{Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true})
-	st := e.RunCycle(0)
-	if st.Refreshed != st.Steps {
-		t.Fatalf("learning cycle on narrow rank refreshed %d of %d steps", st.Refreshed, st.Steps)
+// spanCounter passes every call through to the module and counts the
+// discharged-span probes that the module accepted.
+type spanCounter struct {
+	engine.MemoryBackend
+	accepted int
+}
+
+func (c *spanCounter) RefreshSpanDischarged(bank, lo, hi, groups int) bool {
+	ok := c.MemoryBackend.RefreshSpanDischarged(bank, lo, hi, groups)
+	if ok {
+		c.accepted++
 	}
-	st = e.RunCycle(cfg.Timing.TRET)
-	if st.Skipped != st.Steps {
-		t.Fatalf("idle narrow rank skipped %d of %d steps", st.Skipped, st.Steps)
+	return ok
+}
+
+// TestTracedEngineTakesSpanFastPath pins that tracing does not turn off the
+// whole-command fast path: a traced engine over an untouched module must
+// resolve commands through the span probe and still emit exactly the event
+// stream of the traced per-step scalar twin. The writes between windows are
+// only notified, never stored, so the module stays untouched while the
+// refresh after a skip carries a non-zero run length into its events.
+func TestTracedEngineTakesSpanFastPath(t *testing.T) {
+	cfg := Config{Skip: true, RowsPerAR: 32, Stagger: true, StatusInDRAM: true}
+	counter := &spanCounter{MemoryBackend: testModule()}
+	fast, scalar := NewEngine(counter, cfg), NewEngine(scalarBackend{testModule()}, cfg)
+	trs := [2]*trace.Tracer{trace.New(1 << 16), trace.New(1 << 16)}
+	fast.SetTracer(trs[0].NewShard("refresh"))
+	scalar.SetTracer(trs[1].NewShard("refresh"))
+	tret := counter.Config().Timing.TRET
+	now := dram.Time(0)
+	for cycle := 0; cycle < 4; cycle++ {
+		if cycle >= 2 {
+			for row := 0; row < counter.Config().RowsPerBank; row += 50 {
+				fast.NoteWrite(cycle%2, row)
+				scalar.NoteWrite(cycle%2, row)
+			}
+		}
+		a, b := fast.RunCycle(now), scalar.RunCycle(now)
+		if a != b {
+			t.Fatalf("cycle %d stats diverged:\nfast   %+v\nscalar %+v", cycle, a, b)
+		}
+		now = a.End + tret/dram.Time(8)
+	}
+	if counter.accepted == 0 {
+		t.Fatal("traced engine never took the discharged-span fast path")
+	}
+	if a, b := fast.Metrics().Snapshot(), scalar.Metrics().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("engine metrics diverged:\nfast   %+v\nscalar %+v", a, b)
+	}
+	attr.MustMatch(t, "span fast path vs scalar", trs[0].Events(), trs[1].Events())
+	ended := 0
+	for _, ev := range trs[0].Events() {
+		if ev.Kind == trace.KindRefreshIssued && ev.B > 0 {
+			ended++
+		}
+	}
+	if ended == 0 {
+		t.Fatal("no refresh event ended a skip run; the traffic misses the run bookkeeping")
 	}
 }

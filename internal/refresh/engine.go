@@ -47,10 +47,10 @@ type Config struct {
 	// PerChipStatus is a design-space alternative to the paper's
 	// rank-synchronous skipping: each chip's refresh logic skips its
 	// own row independently, tracked with one status bit per chip-row
-	// (Chips x the storage of the paper's 1-bit-per-rank-row table).
+	// (8x the storage of the paper's 1-bit-per-rank-row table).
 	// It captures skips the step-granular design misses — e.g. a
 	// zero word class pinned to one chip under the unrotated mapping —
-	// at Chips times the table cost. Compare via NormalizedChipRefresh.
+	// at 8 times the table cost. Compare via NormalizedChipRefresh.
 	PerChipStatus bool
 }
 
@@ -87,7 +87,6 @@ type Engine struct {
 	mod engine.MemoryBackend
 	cfg Config
 
-	chips       int
 	banks       int
 	rowsPerBank int
 	numARs      int // AR commands per bank per retention window
@@ -106,8 +105,7 @@ type Engine struct {
 	// the PerChipStatus variant skips each set bit independently.
 	// Stored in DRAM in the optimized design; kept here as the
 	// functional model either way.
-	status   [][]uint16
-	fullMask uint16
+	status [][]uint16
 	// arCursor is the next AR set index per bank.
 	arCursor []int
 	// lastSetRefreshed records, per (bank, set), how many steps the most
@@ -135,12 +133,11 @@ type Engine struct {
 	// tr receives typed refresh events when tracing is enabled; nil
 	// otherwise.
 	tr engine.Tracer
-
-	// scalarStep forces refreshStep onto the per-chip scalar loop even on
-	// a LineChips-wide rank; the differential tests and benchmarks use it
-	// to pit the two paths against each other.
-	scalarStep bool
 }
+
+// fullMask is the status mask of a diagonal group whose every chip-row was
+// discharged and not spared: the rank-synchronous skip condition.
+const fullMask = 1<<dram.LineChips - 1
 
 // Stats accumulates engine activity across cycles. It is a point-in-time
 // snapshot of the engine's metrics registry (see Engine.Metrics).
@@ -175,7 +172,6 @@ func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 	e := &Engine{
 		mod:         m,
 		cfg:         cfg,
-		chips:       dcfg.Chips,
 		banks:       dcfg.Banks,
 		rowsPerBank: dcfg.RowsPerBank,
 		numARs:      dcfg.RowsPerBank / cfg.RowsPerAR,
@@ -192,10 +188,6 @@ func NewEngine(m engine.MemoryBackend, cfg Config) *Engine {
 		tableRowRefreshes: reg.Counter("refresh.table_row_refreshes"),
 		dischargedRunLen:  reg.Histogram("refresh.discharged_run_len"),
 	}
-	if dcfg.Chips > 16 {
-		panic("refresh: at most 16 chips supported by the status mask")
-	}
-	e.fullMask = uint16(1)<<dcfg.Chips - 1
 	e.accessBits = make([][]uint64, e.banks)
 	e.status = make([][]uint16, e.banks)
 	e.lastSetRefreshed = make([][]int, e.banks)
@@ -257,14 +249,23 @@ func (e *Engine) Stats() Stats {
 
 // StepRow returns the rank-level row index chip refreshes at refresh step
 // n. With staggered counters (Figure 8) the rows form wrapped diagonals:
-// within each block of `chips` rows, chip c starts offset by its chip
-// number, so step n refreshes row block*chips + (c+n) mod chips in chip c.
+// within each block of LineChips rows, chip c starts offset by its chip
+// number, so step n refreshes row block*8 + (c+n) mod 8 in chip c.
 func (e *Engine) StepRow(chip, n int) int {
 	if !e.cfg.Stagger {
 		return n
 	}
-	block := n / e.chips
-	return block*e.chips + (chip+n)%e.chips
+	return n/dram.LineChips*dram.LineChips + (chip+n)%dram.LineChips
+}
+
+// stepRows returns the diagonal group of step n, StepRow for every chip:
+// the row set one RefreshGroup or ReplayRefreshGroup call covers.
+func (e *Engine) stepRows(n int) [dram.LineChips]int {
+	var rows [dram.LineChips]int
+	for chip := range rows {
+		rows[chip] = e.StepRow(chip, n)
+	}
+	return rows
 }
 
 // stepsOfRow returns the inclusive range of steps [lo,hi] whose diagonal
@@ -274,8 +275,8 @@ func (e *Engine) stepsOfRow(row int) (lo, hi int) {
 	if !e.cfg.Stagger {
 		return row, row
 	}
-	block := row / e.chips
-	return block * e.chips, block*e.chips + e.chips - 1
+	lo = row / dram.LineChips * dram.LineChips
+	return lo, lo + dram.LineChips - 1
 }
 
 // accessBit, setAccessBit and clearAccessBit are the packed probes of the
@@ -305,38 +306,10 @@ func (e *Engine) NoteWrite(bank, row int) {
 
 // refreshStep refreshes the diagonal group of step n in a bank and returns
 // the renewed status mask: bit c set iff chip c's row was discharged and
-// not backed by a spare row. On the standard LineChips-wide rank the whole
-// diagonal goes to the backend in one RefreshGroup call; other geometries
-// (and the differential tests, via scalarStep) use the per-chip loop.
+// not backed by a spare row. The whole diagonal goes to the backend in one
+// RefreshGroup call.
 func (e *Engine) refreshStep(bank, n int, now dram.Time) uint16 {
-	if e.scalarStep || e.chips != dram.LineChips {
-		return e.refreshStepScalar(bank, n, now)
-	}
-	var rows [dram.LineChips]int
-	if e.cfg.Stagger {
-		block := n / e.chips * e.chips
-		for chip := range rows {
-			rows[chip] = block + (chip+n)%e.chips
-		}
-	} else {
-		for chip := range rows {
-			rows[chip] = n
-		}
-	}
-	return e.mod.RefreshGroup(bank, rows, now)
-}
-
-// refreshStepScalar is the retained per-chip refresh loop, the
-// differential-test and benchmark reference for refreshStep.
-func (e *Engine) refreshStepScalar(bank, n int, now dram.Time) uint16 {
-	var mask uint16
-	for chip := 0; chip < e.chips; chip++ {
-		row := e.StepRow(chip, n)
-		if e.mod.Refresh(chip, bank, row, now) && !e.mod.IsSpared(row) {
-			mask |= 1 << chip
-		}
-	}
-	return mask
+	return e.mod.RefreshGroup(bank, e.stepRows(n), now)
 }
 
 // noteSkip records one skipped step: its consecutive-skip run grows and the
@@ -375,64 +348,50 @@ func (e *Engine) noteRefresh(bank, n, chipRows int, now dram.Time) {
 // discharged and unmaterialized: every refresh step would hit a
 // never-touched diagonal group, so the per-step sweep reduces to the
 // module's span-level counter accounting plus spare-aware status masks the
-// engine can derive from the sparing bitset alone. Returns false — leaving
-// the caller's per-step loop to run — in scalar mode, on non-standard rank
-// shapes, when tracing is on (the loop owns per-step event emission), or
-// when any row of the span is live.
-func (e *Engine) refreshSpanFast(bank, first int, res *ARResult) bool {
-	if e.scalarStep || e.chips != dram.LineChips || e.tr != nil {
-		return false
-	}
+// engine can derive from the sparing bitset alone. Each step still goes
+// through noteRefresh, so skip runs and the event stream are exactly the
+// per-step loop's. Returns false — leaving the caller's per-step loop to
+// run — when any row of the span is live.
+func (e *Engine) refreshSpanFast(bank, first int, now dram.Time, res *ARResult) bool {
 	steps := e.cfg.RowsPerAR
 	lo, hi := first, first+steps
 	if e.cfg.Stagger {
-		// Staggered steps permute rows within blocks of e.chips, so the
-		// probe span is the block-aligned hull of the step range.
-		lo = lo / e.chips * e.chips
-		hi = (hi + e.chips - 1) / e.chips * e.chips
+		// Staggered steps permute rows within blocks of LineChips rows, so
+		// the probe span is the block-aligned hull of the step range.
+		lo = lo / dram.LineChips * dram.LineChips
+		hi = (hi + dram.LineChips - 1) / dram.LineChips * dram.LineChips
 	}
 	if !e.mod.RefreshSpanDischarged(bank, lo, hi, steps) {
 		return false
 	}
 	status := e.status[bank]
-	runs := e.skipRun[bank]
-	if e.cfg.Stagger {
-		curBlock := -1
-		var q uint8
-		for n := first; n < first+steps; n++ {
-			if b := n / e.chips * e.chips; b != curBlock {
+	curBlock := -1
+	var q uint8
+	for n := first; n < first+steps; n++ {
+		switch {
+		case e.cfg.Stagger:
+			if b := n / dram.LineChips * dram.LineChips; b != curBlock {
 				curBlock = b
 				q = 0
-				for j := 0; j < e.chips; j++ {
+				for j := 0; j < dram.LineChips; j++ {
 					if !e.mod.IsSpared(b + j) {
 						q |= 1 << j
 					}
 				}
 			}
-			// Step n's chip c refreshes row block+(c+n)%chips, so its
-			// status mask is the block's non-spared pattern rotated by
-			// the stagger offset.
-			status[n] = uint16(bits.RotateLeft8(q, -(n % e.chips)))
-			if runs[n] > 0 {
-				e.dischargedRunLen.Observe(int64(runs[n]))
-				runs[n] = 0
-			}
+			// Step n's chip c refreshes row block+(c+n)%8, so its status
+			// mask is the block's non-spared pattern rotated by the
+			// stagger offset.
+			status[n] = uint16(bits.RotateLeft8(q, -(n % dram.LineChips)))
+		case e.mod.IsSpared(n):
+			status[n] = 0
+		default:
+			status[n] = fullMask
 		}
-	} else {
-		for n := first; n < first+steps; n++ {
-			if e.mod.IsSpared(n) {
-				status[n] = 0
-			} else {
-				status[n] = e.fullMask
-			}
-			if runs[n] > 0 {
-				e.dischargedRunLen.Observe(int64(runs[n]))
-				runs[n] = 0
-			}
-		}
+		e.noteRefresh(bank, n, dram.LineChips, now)
 	}
 	res.Refreshed = steps
-	res.ChipRefreshed = steps * e.chips
+	res.ChipRefreshed = steps * dram.LineChips
 	return true
 }
 
@@ -454,15 +413,15 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 	var res ARResult
 	first := set * e.cfg.RowsPerAR
 	if e.accessBit(bank, set) {
-		if e.refreshSpanFast(bank, first, &res) {
+		if e.refreshSpanFast(bank, first, now, &res) {
 			// Whole-command fast path: statuses, skip runs and counters
 			// are already accounted; fall through to the shared tail.
 		} else {
 			for n := first; n < first+e.cfg.RowsPerAR; n++ {
 				e.status[bank][n] = e.refreshStep(bank, n, now)
-				e.noteRefresh(bank, n, e.chips, now)
+				e.noteRefresh(bank, n, dram.LineChips, now)
 				res.Refreshed++
-				res.ChipRefreshed += e.chips
+				res.ChipRefreshed += dram.LineChips
 			}
 		}
 		e.clearAccessBit(bank, set)
@@ -482,7 +441,7 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 				// Each chip's internal refresh logic consults its
 				// own status bit.
 				refreshed := 0
-				for chip := 0; chip < e.chips; chip++ {
+				for chip := 0; chip < dram.LineChips; chip++ {
 					if mask&(1<<chip) != 0 {
 						res.ChipSkipped++
 						continue
@@ -498,18 +457,18 @@ func (e *Engine) AutoRefreshSet(bank, set int, now dram.Time) ARResult {
 					res.Refreshed++
 					e.noteRefresh(bank, n, refreshed, now)
 				}
-			case e.cfg.Skip && mask == e.fullMask:
+			case e.cfg.Skip && mask == fullMask:
 				// Rank-synchronous skip: the whole diagonal group.
 				res.Skipped++
-				res.ChipSkipped += e.chips
+				res.ChipSkipped += dram.LineChips
 				e.noteSkip(bank, n, now)
 			default:
 				// Refresh normally; the status cannot have improved
 				// without a write, so no table update is needed.
 				e.refreshStep(bank, n, now)
-				e.noteRefresh(bank, n, e.chips, now)
+				e.noteRefresh(bank, n, dram.LineChips, now)
 				res.Refreshed++
-				res.ChipRefreshed += e.chips
+				res.ChipRefreshed += dram.LineChips
 			}
 		}
 	}
@@ -545,7 +504,7 @@ func (e *Engine) StatusTableRows() int {
 	}
 	bits := e.banks * e.rowsPerBank
 	if e.cfg.PerChipStatus {
-		bits *= e.chips
+		bits *= dram.LineChips
 	}
 	bytes := (bits + 7) / 8
 	rowBytes := e.mod.Config().RowBytes

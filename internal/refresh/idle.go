@@ -39,8 +39,8 @@ func (e *Engine) Idle() bool {
 // replay is provably identical to the dense loop: no active tracer
 // (per-step skip events carry growing run lengths that cannot be
 // synthesized in bulk), the rank-synchronous status design (per-chip
-// status refreshes partial groups), the LineChips group-refresh geometry,
-// and a backend that implements the bulk engine.IdleReplayer extension.
+// status refreshes partial groups), and a backend that implements the bulk
+// engine.IdleReplayer extension.
 //
 // A sink that implements trace.PassiveSink and reports Passive — the
 // introspection plane's tee while the flight recorder is disarmed and no
@@ -48,7 +48,7 @@ func (e *Engine) Idle() bool {
 // would observe the events a dense window emits, so skipping them is
 // unobservable and the fast path stays available under `zrsim -serve`.
 func (e *Engine) CanReplayIdle() bool {
-	if tracingActive(e.tr) || e.cfg.PerChipStatus || e.scalarStep || e.chips != dram.LineChips {
+	if tracingActive(e.tr) || e.cfg.PerChipStatus {
 		return false
 	}
 	if _, ok := e.mod.(engine.IdleReplayer); !ok {
@@ -103,7 +103,7 @@ func (e *Engine) ReplayIdleCycles(start dram.Time, k int64) CycleStats {
 			first := set * e.cfg.RowsPerAR
 			refreshed := 0
 			for n := first; n < first+e.cfg.RowsPerAR; n++ {
-				if e.cfg.Skip && e.status[bank][n] == e.fullMask {
+				if e.cfg.Skip && e.status[bank][n] == fullMask {
 					// Skipped in every replayed window: the run just grows.
 					e.skipRun[bank][n] += int32(k)
 					skippedPerCycle++
@@ -118,18 +118,7 @@ func (e *Engine) ReplayIdleCycles(start dram.Time, k int64) CycleStats {
 					e.dischargedRunLen.Observe(int64(run))
 					e.skipRun[bank][n] = 0
 				}
-				var rows [dram.LineChips]int
-				if e.cfg.Stagger {
-					block := n / e.chips * e.chips
-					for chip := range rows {
-						rows[chip] = block + (chip+n)%e.chips
-					}
-				} else {
-					for chip := range rows {
-						rows[chip] = n
-					}
-				}
-				rep.ReplayRefreshGroup(bank, rows, now, tret, k)
+				rep.ReplayRefreshGroup(bank, e.stepRows(n), now, tret, k)
 			}
 			refreshedPerCycle += int64(refreshed)
 			if refreshed == 0 {
@@ -150,8 +139,8 @@ func (e *Engine) ReplayIdleCycles(start dram.Time, k int64) CycleStats {
 		Start:           start,
 		End:             start + dram.Time(k)*tret,
 	}
-	stats.ChipRefreshed = stats.Refreshed * int64(e.chips)
-	stats.ChipSkipped = stats.Skipped * int64(e.chips)
+	stats.ChipRefreshed = stats.Refreshed * dram.LineChips
+	stats.ChipSkipped = stats.Skipped * dram.LineChips
 	if e.cfg.StatusInDRAM {
 		stats.StatusReads = k * arPerCycle
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zerorefresh/internal/core"
-	"zerorefresh/internal/dram"
 	"zerorefresh/internal/energy"
 	"zerorefresh/internal/engine"
 	"zerorefresh/internal/metrics"
@@ -60,11 +59,6 @@ type Options struct {
 	// Timeline enables per-window epoch capture; runs report it via
 	// ScenarioResult.Timeline.
 	Timeline bool
-	// Events drives the run through the event-driven core (write bursts
-	// scheduled on the system's event queue, idle windows fast-forwarded
-	// in bulk) instead of the dense per-window loop. Results are
-	// observationally identical; only wall-clock cost differs.
-	Events bool
 }
 
 // withDefaults fills unset fields.
@@ -240,41 +234,19 @@ func runScenario(o Options, prof workload.Profile, allocFrac float64, extended b
 		return res, fillErr
 	}
 
+	// Every measured window opens with a write burst, so no window is idle
+	// and the event core's bulk replay would have nothing to skip: the
+	// dense per-window loop is the scenario driver.
 	allocated := alloc.AllocatedPageIndices()
-	var opsBefore int64
-	if o.Events {
-		// Event-driven run: the warmup and measured windows pop off the
-		// system's event queue, with each measured window's write burst
-		// scheduled at the window boundary the dense loop applies it at.
-		tret := sys.DRAM.Config().Timing.TRET
-		sys.RunUntil(sys.Clock + dram.Time(o.Warmup)*tret)
-		opsBefore = sys.Pipeline.Ops()
-		base := sys.Clock
-		var burstErr error
-		for w := 0; w < o.Windows; w++ {
-			w := w
-			sys.ScheduleWriteBurst(base+dram.Time(w)*tret, func(dram.Time) {
-				if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil && burstErr == nil {
-					burstErr = err
-				}
-			})
+	for w := 0; w < o.Warmup; w++ {
+		sys.RunWindow()
+	}
+	opsBefore := sys.Pipeline.Ops()
+	for w := 0; w < o.Windows; w++ {
+		if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil {
+			return res, err
 		}
-		res.Cycles = sys.RunUntil(base + dram.Time(o.Windows)*tret)
-		if burstErr != nil {
-			return res, burstErr
-		}
-	} else {
-		for w := 0; w < o.Warmup; w++ {
-			sys.RunWindow()
-		}
-		opsBefore = sys.Pipeline.Ops()
-		for w := 0; w < o.Windows; w++ {
-			if err := applyWindowWrites(sys, prof, allocated, o.Seed, w); err != nil {
-				return res, err
-			}
-			st := sys.RunWindow()
-			res.Cycles.Add(st)
-		}
+		res.Cycles.Add(sys.RunWindow())
 	}
 
 	// Energy accounting: the EBDI module runs on writes (counted by the
@@ -286,7 +258,7 @@ func runScenario(o Options, prof workload.Profile, allocFrac float64, extended b
 		total = int64(float64(writes) / prof.WriteFrac)
 	}
 	res.EBDIOps = total
-	model := energy.NewModel(sys.DRAM.Config(), sys.Engine)
+	model := energy.NewModel(sys.Engine)
 	res.NormRefresh = res.Cycles.NormalizedRefresh()
 	res.Reduction = 1 - res.NormRefresh
 	res.NormEnergy = model.NormalizedEnergy(res.Cycles, res.EBDIOps)

@@ -1,6 +1,10 @@
 package transform
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"zerorefresh/internal/dram"
+)
 
 // Data-rotation stage, Section V-D.
 //
@@ -33,7 +37,7 @@ type ChipMapping interface {
 }
 
 // MappingChips is the rank width all mappings assume (one word per chip).
-const MappingChips = 8
+const MappingChips = dram.LineChips
 
 // RotatedMapping is the ZERO-REFRESH mapping: whole words per chip, rotated
 // by the row index.

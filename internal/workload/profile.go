@@ -254,7 +254,7 @@ const (
 	// segmentBoundaryProb is the per-chunk probability that a new
 	// segment (hence possibly a new class) starts; mean segment length
 	// is ~80 KB, reflecting the large arrays/arenas that dominate the
-	// SPEC-class footprints. The refresh skip unit is a Chips-row
+	// SPEC-class footprints. The refresh skip unit is an 8-row
 	// diagonal block (32 KB at 4 KB rows), so this length controls how
 	// often blocks straddle structure boundaries.
 	segmentBoundaryProb = 0.012
@@ -284,8 +284,8 @@ func (p Profile) LineAt(seed, globalLine, version uint64) [64]byte {
 // SkipUnitFraction estimates, from the class tables alone, the fraction of
 // refresh steps a memory full of this content can skip when the skip unit
 // covers unitBytes of contiguous content. Under the rotated mapping with
-// staggered counters, the unit is a Chips-row diagonal block
-// (Chips x rowBytes = 32 KB at the base configuration): a step skips word
+// staggered counters, the unit is an 8-row diagonal block
+// (8 x rowBytes = 32 KB at the base configuration): a step skips word
 // class c only if *every* line of the block has word c zero, so the
 // block's skippable classes are the minimum over its chunks (skippable
 // class sets are nested tails, making the minimum exact). This is the
